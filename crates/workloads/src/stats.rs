@@ -70,4 +70,63 @@ mod tests {
         let max_ops = all.iter().map(|w| stats(w).op_num).max().expect("rows");
         assert_eq!(t5.op_num, max_ops, "T5 has the most operators (21)");
     }
+
+    /// Per-operator Class I/II vectors and Table 2 "Dyn. Num" for every
+    /// evaluation workload. The separation masks and Table 2 are derived
+    /// from exactly these values, so a change to the input-dependence
+    /// analysis that moves any of them changes the paper's results.
+    #[test]
+    fn classes_and_dyn_num_are_pinned() {
+        const PINNED: &[(&str, &str, usize)] = &[
+            ("adi", "II", 1),
+            ("atax", "I", 0),
+            ("bicg", "I", 0),
+            ("correlation", "I", 0),
+            ("covariance", "I", 0),
+            ("deriche", "I", 0),
+            ("fdtd-2d", "II", 1),
+            ("heat-3d", "II", 1),
+            ("jacobi-2d", "II", 1),
+            ("seidel-2d", "II", 1),
+            ("Tab. 2-1", "II I I I I I I I", 2),
+            ("Tab. 2-2", "II I I I I I", 2),
+            ("Tab. 2-3", "II I I I I I I I", 2),
+            ("Tab. 2-4", "I I I I II I I II II I I I", 4),
+            ("Tab. 2-5", "I II II I I", 3),
+            ("Tab. 2-6", "I I I I I I I I I II I I I", 2),
+            ("Tab. 2-7", "I I I I I I II I", 2),
+            ("Tab. 2-8", "I I I I I II", 1),
+            ("Tab. 2-9", "I I I I II", 2),
+            ("Tab. 2-10", "I I I I I I I I II I I I", 1),
+            ("Tab. 2-11", "I I I I I I I I I II I I I", 1),
+            ("Tab. 2-12", "I I I I I I I I I I I I I I I II I I I I I", 1),
+            ("Tab. 2-13", "I I I I I I I I II I", 1),
+            ("Tab. 2-14", "I I I I I I II I", 1),
+            ("TPU", "I", 0),
+            ("Eyeriss", "I", 0),
+            ("Shidiannao", "I", 0),
+        ];
+        let mut all = crate::polybench::all();
+        all.extend(modern::all());
+        all.extend(crate::accelerators::all());
+        let actual: Vec<(String, String, usize)> = all
+            .iter()
+            .map(|w| {
+                let classes: Vec<&str> = analysis::analyze_program(&w.program)
+                    .operators
+                    .iter()
+                    .map(|r| match r.class {
+                        analysis::OperatorClass::ClassI => "I",
+                        analysis::OperatorClass::ClassII => "II",
+                    })
+                    .collect();
+                (w.name.clone(), classes.join(" "), stats(w).dyn_num)
+            })
+            .collect();
+        let expected: Vec<(String, String, usize)> = PINNED
+            .iter()
+            .map(|&(name, classes, dyn_num)| (name.to_string(), classes.to_string(), dyn_num))
+            .collect();
+        assert_eq!(actual, expected);
+    }
 }
