@@ -2,24 +2,24 @@
 //!
 //! LLMulator's dynamic control-flow separation (paper Sec. 5.2) requires
 //! knowing, *statically*, whether each operator's control flow depends on
-//! runtime input. This module implements a provenance-tracking taint
-//! fixpoint:
+//! runtime input. This module is the paper's Class I/II view of the
+//! per-operator taint analysis in [`crate::taint`]: an operator whose loop
+//! bounds and branch conditions are all input-independent
+//! ([`AdaptivityClass::Static`]) is **Class I**; every other operator is
+//! **Class II**. The scalar inputs reaching those control-flow sinks are its
+//! dynamic parameters, and a sink reading tensor contents marks it
+//! data-dependent.
 //!
-//! * **sources** — scalar parameters (bound to runtime `data` at the graph
-//!   level) and array loads (values unknown at compile time);
-//! * **propagation** — assignments taint their destination variable with the
-//!   union of the right-hand side's taint; loop variables are tainted by
-//!   their bounds;
-//! * **sinks** — loop bounds and branch conditions. An operator whose sink
-//!   touches taint is **Class II** (input-dependent control flow); otherwise
-//!   it is **Class I**.
+//! Operators are analyzed unseeded (every scalar parameter is a runtime
+//! input), so an operator's class does not depend on how a particular graph
+//! invokes it.
 
-use crate::expr::{Expr, Ident};
+use crate::expr::Ident;
 use crate::op::Operator;
 use crate::program::Program;
-use crate::stmt::Stmt;
+use crate::taint::{analyze_operator_taint, AdaptivityClass};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Operator classification used by dynamic control-flow separation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -37,27 +37,6 @@ impl OperatorClass {
     /// True for Class II (input-dependent) operators.
     pub fn is_input_dependent(self) -> bool {
         matches!(self, OperatorClass::ClassII)
-    }
-}
-
-/// Taint attached to a value: which scalar parameters reach it, and whether
-/// raw array data reaches it.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct Taint {
-    params: BTreeSet<Ident>,
-    data: bool,
-}
-
-impl Taint {
-    fn is_tainted(&self) -> bool {
-        self.data || !self.params.is_empty()
-    }
-
-    fn merge(&mut self, other: &Taint) -> bool {
-        let before = (self.params.len(), self.data);
-        self.params.extend(other.params.iter().cloned());
-        self.data |= other.data;
-        before != (self.params.len(), self.data)
     }
 }
 
@@ -121,48 +100,25 @@ impl ControlFlowReport {
     }
 }
 
-/// Analyzes one operator in isolation (all scalar parameters are treated as
-/// runtime-bound sources).
+/// Analyzes one operator in isolation (all scalar parameters and free graph
+/// scalars are treated as runtime-bound sources): the Class I/II view of
+/// [`analyze_operator_taint`].
 pub fn analyze_operator(op: &Operator) -> OperatorReport {
-    // Seed the environment with scalar parameters, each tainted by itself.
-    let mut env: BTreeMap<Ident, Taint> = BTreeMap::new();
-    for p in op.scalar_params() {
-        env.insert(
-            p.clone(),
-            Taint {
-                params: BTreeSet::from([p.clone()]),
-                data: false,
-            },
-        );
-    }
-
-    // Fixpoint: propagate taint through scalar assignments and loop vars.
-    loop {
-        let mut changed = false;
-        for stmt in &op.body {
-            propagate(stmt, &mut env, &mut changed);
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    // Collect sinks.
-    let mut sink = Taint::default();
-    let mut any_taint = false;
-    for stmt in &op.body {
-        check_sinks(stmt, &env, &mut sink, &mut any_taint);
-    }
-
+    let t = analyze_operator_taint(op);
     OperatorReport {
         name: op.name.clone(),
-        class: if any_taint {
-            OperatorClass::ClassII
-        } else {
+        class: if t.class.is_static() {
             OperatorClass::ClassI
+        } else {
+            OperatorClass::ClassII
         },
-        dynamic_params: sink.params,
-        data_dependent_branches: sink.data,
+        dynamic_params: t
+            .loop_bounds
+            .values()
+            .chain(t.branch_conds.values())
+            .flat_map(|sink| sink.params.iter().cloned())
+            .collect(),
+        data_dependent_branches: t.class == AdaptivityClass::DataAdaptive,
     }
 }
 
@@ -173,110 +129,12 @@ pub fn analyze_program(program: &Program) -> ControlFlowReport {
     }
 }
 
-fn expr_taint(expr: &Expr, env: &BTreeMap<Ident, Taint>) -> Taint {
-    match expr {
-        Expr::IntConst(_) | Expr::FloatConst(_) => Taint::default(),
-        Expr::Var(name) => env.get(name).cloned().unwrap_or_default(),
-        Expr::Load { indices, .. } => {
-            // Array contents are runtime data; index taint also flows through
-            // (the loaded value depends on which element is chosen).
-            let mut t = Taint {
-                params: BTreeSet::new(),
-                data: true,
-            };
-            for idx in indices {
-                t.merge(&expr_taint(idx, env));
-            }
-            t
-        }
-        Expr::Binary { lhs, rhs, .. } => {
-            let mut t = expr_taint(lhs, env);
-            t.merge(&expr_taint(rhs, env));
-            t
-        }
-        Expr::Unary { operand, .. } => expr_taint(operand, env),
-        Expr::Call { args, .. } => {
-            let mut t = Taint::default();
-            for a in args {
-                t.merge(&expr_taint(a, env));
-            }
-            t
-        }
-    }
-}
-
-fn propagate(stmt: &Stmt, env: &mut BTreeMap<Ident, Taint>, changed: &mut bool) {
-    match stmt {
-        Stmt::Assign { dest, value } => {
-            if let crate::stmt::LValue::Var(name) = dest {
-                let t = expr_taint(value, env);
-                if t.is_tainted() && env.entry(name.clone()).or_default().merge(&t) {
-                    *changed = true;
-                }
-            }
-        }
-        Stmt::For(l) => {
-            // A loop variable bounded by taint is itself tainted (its final
-            // value depends on input).
-            let mut t = expr_taint(&l.lo, env);
-            t.merge(&expr_taint(&l.hi, env));
-            t.merge(&expr_taint(&l.step, env));
-            if t.is_tainted() && env.entry(l.var.clone()).or_default().merge(&t) {
-                *changed = true;
-            }
-            for s in &l.body {
-                propagate(s, env, changed);
-            }
-        }
-        Stmt::If {
-            then_body,
-            else_body,
-            ..
-        } => {
-            for s in then_body.iter().chain(else_body) {
-                propagate(s, env, changed);
-            }
-        }
-    }
-}
-
-fn check_sinks(stmt: &Stmt, env: &BTreeMap<Ident, Taint>, sink: &mut Taint, any_taint: &mut bool) {
-    match stmt {
-        Stmt::Assign { .. } => {}
-        Stmt::For(l) => {
-            for bound in [&l.lo, &l.hi, &l.step] {
-                let t = expr_taint(bound, env);
-                if t.is_tainted() {
-                    *any_taint = true;
-                    sink.merge(&t);
-                }
-            }
-            for s in &l.body {
-                check_sinks(s, env, sink, any_taint);
-            }
-        }
-        Stmt::If {
-            cond,
-            then_body,
-            else_body,
-        } => {
-            let t = expr_taint(cond, env);
-            if t.is_tainted() {
-                *any_taint = true;
-                sink.merge(&t);
-            }
-            for s in then_body.iter().chain(else_body) {
-                check_sinks(s, env, sink, any_taint);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::OperatorBuilder;
-    use crate::stmt::LValue;
+    use crate::expr::Expr;
+    use crate::stmt::{LValue, Stmt};
 
     #[test]
     fn fixed_transpose_is_class_i() {

@@ -8,7 +8,7 @@ use llmulator::{
 };
 use llmulator_ir::builder::OperatorBuilder;
 use llmulator_ir::{analysis, Expr, InputData, LValue, OperatorClass, Program, Stmt};
-use llmulator_token::NumericMode;
+use llmulator_token::{NumericMode, SegmentKind};
 
 fn model(seed: u64) -> NumericPredictor {
     NumericPredictor::new(PredictorConfig {
@@ -117,6 +117,58 @@ fn class_i_data_masking_keeps_answers_but_saves_work() {
     let (cold_pred, _) = cold.predict(&tp2);
     for (a, b) in warm_pred.per_metric.iter().zip(&cold_pred.per_metric) {
         assert_eq!(a.digits, b.digits);
+    }
+}
+
+#[test]
+fn free_graph_scalar_loop_bound_is_class_ii_and_keeps_data_attention() {
+    // The operator's loop bound reads the graph scalar `N` directly instead
+    // of through a parameter, so its cost depends on `N` even though the
+    // operator declares no scalar parameter of its own.
+    let program = llmulator_ir::parse::parse_program(
+        "void scan(float a[64]) {\n\
+           for (int i = 0; i < N; i += 1) {\n\
+             a[i] = (a[i] + 1);\n\
+           }\n\
+         }\n\
+         void graph(float buf[64], int N) {\n\
+           scan(buf);\n\
+         }\n",
+    )
+    .expect("parses");
+    assert!(program.graph.params.iter().any(|p| p.as_str() == "N"));
+    let small = InputData::new().with("N", 2i64);
+    let large = InputData::new().with("N", 40i64);
+    let cycles = |data: &InputData| {
+        llmulator_sim::simulate(&program, data)
+            .expect("simulates")
+            .total_cycles
+    };
+    assert_ne!(cycles(&small), cycles(&large), "cost depends on N");
+
+    let report = analysis::analyze_program(&program);
+    assert_eq!(report.operators[0].class, OperatorClass::ClassII);
+    assert!(report.operators[0].dynamic_params.contains(&"N".into()));
+    let classes: Vec<_> = report.operators.iter().map(|r| r.class).collect();
+
+    // The separation mask must leave the operator attending to `data`.
+    let tp = model(4).tokenize_sample(&Sample::profile(&program, Some(&large)).expect("profiles"));
+    let mask = llmulator::separation_mask(&tp, &classes, MaskOptions::default());
+    let span = |kind: SegmentKind| {
+        let seg = tp
+            .segments
+            .iter()
+            .find(|s| s.kind == kind)
+            .expect("segment present");
+        seg.start..seg.end
+    };
+    let (op_rows, data_cols) = (span(SegmentKind::Operator(0)), span(SegmentKind::Data));
+    assert!(!op_rows.is_empty() && !data_cols.is_empty());
+    for i in op_rows {
+        for j in data_cols.clone() {
+            let open = mask.get(i, j) == 0.0 && mask.get(j, i) == 0.0;
+            assert!(open, "operator token {i} and data token {j} masked apart");
+        }
     }
 }
 
