@@ -11,18 +11,18 @@
 //! [`crate::matrix`] and the [`Scratch`] arena so steady-state inference
 //! allocates nothing:
 //!
-//! * [`forward`] — full-sequence forward pass (the hot path behind every
-//!   prediction), bit-identical to the autodiff tape forward in
-//!   [`Transformer::encode`];
+//! * one encoder layer loop with two entry points: [`forward_packed`] packs
+//!   a group of same-length sequences into one activation matrix so each
+//!   per-layer projection runs as a single blocked GEMM for the whole group
+//!   (attention stays block-diagonal), and [`forward`] is its single-sample
+//!   case with an optional attention mask — the hot path behind every
+//!   prediction. Both are bit-identical per sample to the autodiff tape
+//!   forward in [`Transformer::encode`];
 //! * [`encode_cached`] — the incremental path recomputing only rows
 //!   reachable (per mask) from changed tokens.
 //!
 //! [`encode_batch`] fans [`forward`] out across scoped threads for batch
-//! workloads, and [`forward_packed`] adds batch-level kernel fusion on top:
-//! a group of same-length sequences is packed into one activation matrix so
-//! each per-layer projection runs as a single blocked GEMM for the whole
-//! group (attention stays block-diagonal), bit-identical per sample to
-//! [`forward`].
+//! workloads.
 
 use crate::graph::ParamStore;
 use crate::matrix::{softmax_slice, Matrix};
@@ -129,16 +129,20 @@ fn layer_norm_into(x: &Matrix, gain: &Matrix, bias: &Matrix, out: &mut Matrix) {
     }
 }
 
-/// One attention head over column block `off..off+hd`: fills `scores` with
-/// the softmaxed (scaled, masked) attention weights and writes the weighted
-/// values into `cat`'s column block. `vh`/`head_out` are `n × hd` scratch
-/// matrices.
+/// One attention head over column block `off..off+hd` for the `n`-row
+/// sample block starting at row `base` of the (possibly packed) `q`/`k`/`v`
+/// matrices, where `n = scores.rows()`: fills `scores` with the softmaxed
+/// (scaled, masked) attention weights and writes the weighted values into
+/// the same block of `cat`. `vh`/`head_out` are `n × hd` scratch matrices.
+/// Rows only attend within their own block, so a block's output is
+/// bit-identical to running the head on that sample alone.
 #[allow(clippy::too_many_arguments)]
 fn attention_head(
     q: &Matrix,
     k: &Matrix,
     v: &Matrix,
     mask: Option<&Matrix>,
+    base: usize,
     off: usize,
     hd: usize,
     scale: f32,
@@ -147,9 +151,9 @@ fn attention_head(
     head_out: &mut Matrix,
     cat: &mut Matrix,
 ) {
-    let n = q.rows();
+    let n = scores.rows();
     for i in 0..n {
-        let qr = &q.row(i)[off..off + hd];
+        let qr = &q.row(base + i)[off..off + hd];
         let sr = scores.row_mut(i);
         // A plain zip dot beats a multi-row unroll at head dimension ≤ 16:
         // the iterator pair carries no bounds checks and the compiler fully
@@ -160,7 +164,7 @@ fn attention_head(
         match mask {
             Some(m) => {
                 for (j, s) in sr.iter_mut().enumerate() {
-                    let kr = &k.row(j)[off..off + hd];
+                    let kr = &k.row(base + j)[off..off + hd];
                     let mut acc = 0.0f32;
                     for (&qv, &kv) in qr.iter().zip(kr) {
                         acc += qv * kv;
@@ -172,7 +176,7 @@ fn attention_head(
             }
             None => {
                 for (j, s) in sr.iter_mut().enumerate() {
-                    let kr = &k.row(j)[off..off + hd];
+                    let kr = &k.row(base + j)[off..off + hd];
                     let mut acc = 0.0f32;
                     for (&qv, &kv) in qr.iter().zip(kr) {
                         acc += qv * kv;
@@ -185,49 +189,9 @@ fn attention_head(
         }
         crate::matrix::softmax_slice_with_max(sr, mx);
     }
-    // head_out = scores × v[:, off..off+hd] through the blocked kernel on a
-    // materialized head slice — the same structure (and bit pattern) as the
-    // tape's slice_cols + matmul.
-    v.gather_block_into(0, n, off, hd, vh);
-    scores.matmul_into(vh, head_out);
-    cat.scatter_block_from(0, off, head_out);
-}
-
-/// [`attention_head`] for one sample's `n`-row block starting at `base`
-/// inside a packed group matrix (mask-free, the batch-prediction case).
-/// Identical per-element operations in identical order, so the block's
-/// output is bit-identical to [`attention_head`] on that sample alone.
-#[allow(clippy::too_many_arguments)]
-fn attention_head_packed(
-    q: &Matrix,
-    k: &Matrix,
-    v: &Matrix,
-    base: usize,
-    n: usize,
-    off: usize,
-    hd: usize,
-    scale: f32,
-    scores: &mut Matrix,
-    vh: &mut Matrix,
-    head_out: &mut Matrix,
-    cat: &mut Matrix,
-) {
-    for i in 0..n {
-        let qr = &q.row(base + i)[off..off + hd];
-        let sr = scores.row_mut(i);
-        let mut mx = f32::NEG_INFINITY;
-        for (j, s) in sr.iter_mut().enumerate() {
-            let kr = &k.row(base + j)[off..off + hd];
-            let mut acc = 0.0f32;
-            for (&qv, &kv) in qr.iter().zip(kr) {
-                acc += qv * kv;
-            }
-            let sv = acc * scale;
-            mx = mx.max(sv);
-            *s = sv;
-        }
-        crate::matrix::softmax_slice_with_max(sr, mx);
-    }
+    // head_out = scores × v[block, off..off+hd] through the blocked kernel
+    // on a materialized head slice — the same structure (and bit pattern) as
+    // the tape's slice_cols + matmul.
     v.gather_block_into(base, base + n, off, hd, vh);
     scores.matmul_into(vh, head_out);
     cat.scatter_block_from(base, off, head_out);
@@ -238,7 +202,9 @@ fn attention_head_packed(
 ///
 /// Computes the identical sequence of floating-point operations as the
 /// autodiff tape forward ([`Transformer::encode`]) without building a tape,
-/// so results are bit-identical while running several times faster.
+/// so results are bit-identical while running several times faster. This is
+/// the single-sample case of [`forward_packed`]'s layer loop, plus the
+/// optional additive `n × n` attention mask.
 ///
 /// Returns the `(seq, pooled)` pair (recycle them into `scratch` when done
 /// to keep inference allocation-free).
@@ -253,112 +219,7 @@ pub fn forward(
     mask: Option<&Matrix>,
     scratch: &mut Scratch,
 ) -> (Matrix, Matrix) {
-    let raw = t.raw();
-    let cfg = raw.config;
-    let n = tokens.len().min(cfg.max_len).max(1);
-    let ids: Vec<usize> = tokens
-        .iter()
-        .take(n)
-        .map(|&tok| clamp_token(tok, cfg.vocab_size))
-        .collect();
-    if let Some(m) = mask {
-        assert_eq!(m.shape(), (ids.len(), ids.len()), "mask shape");
-    }
-    let n = ids.len();
-    let d = cfg.d_model;
-    let heads = cfg.n_heads;
-    let hd = d / heads;
-
-    // ---- embeddings ----
-    let tok_table = store.get(raw.tok_embed);
-    let pos_table = store.get(raw.pos_embed);
-    let mut x = scratch.matrix(n, d);
-    for (i, &id) in ids.iter().enumerate() {
-        for ((o, &tv), &pv) in x
-            .row_mut(i)
-            .iter_mut()
-            .zip(tok_table.row(id))
-            .zip(pos_table.row(i))
-        {
-            *o = tv + pv;
-        }
-    }
-
-    // ---- layers ----
-    let mut ln = scratch.matrix(n, d);
-    let mut q = scratch.matrix(n, d);
-    let mut k = scratch.matrix(n, d);
-    let mut v = scratch.matrix(n, d);
-    let mut scores = scratch.matrix(n, n);
-    let mut vh = scratch.matrix(n, hd);
-    let mut head_out = scratch.matrix(n, hd);
-    let mut cat = scratch.matrix(n, d);
-    let mut proj = scratch.matrix(n, d);
-    let mut hidden = scratch.matrix(n, cfg.d_ff);
-    let mut ffn = scratch.matrix(n, d);
-    let scale = 1.0 / (hd as f32).sqrt();
-    for layer in raw.layers {
-        let idsl = layer.ids();
-        // Attention sub-block (pre-norm).
-        layer_norm_into(
-            &x,
-            store.get(idsl.ln1_gain),
-            store.get(idsl.ln1_bias),
-            &mut ln,
-        );
-        ln.matmul_into(store.get(idsl.wq), &mut q);
-        ln.matmul_into(store.get(idsl.wk), &mut k);
-        ln.matmul_into(store.get(idsl.wv), &mut v);
-        for h in 0..heads {
-            attention_head(
-                &q,
-                &k,
-                &v,
-                mask,
-                h * hd,
-                hd,
-                scale,
-                &mut scores,
-                &mut vh,
-                &mut head_out,
-                &mut cat,
-            );
-        }
-        cat.matmul_into(store.get(idsl.wo), &mut proj);
-        x.add_assign(&proj);
-        // Feed-forward sub-block (pre-norm).
-        layer_norm_into(
-            &x,
-            store.get(idsl.ln2_gain),
-            store.get(idsl.ln2_bias),
-            &mut ln,
-        );
-        ln.matmul_into(store.get(idsl.w1), &mut hidden);
-        hidden.bias_relu(store.get(idsl.b1));
-        hidden.matmul_into(store.get(idsl.w2), &mut ffn);
-        let b2 = store.get(idsl.b2);
-        for i in 0..n {
-            for ((o, &hv), &bv) in x.row_mut(i).iter_mut().zip(ffn.row(i)).zip(b2.row(0)) {
-                // Same association as the tape: x + (ffn + b2).
-                *o += hv + bv;
-            }
-        }
-    }
-
-    // ---- final layer norm + pooling ----
-    let mut seq = scratch.matrix(n, d);
-    layer_norm_into(
-        &x,
-        store.get(raw.final_gain),
-        store.get(raw.final_bias),
-        &mut seq,
-    );
-    let mut pooled = scratch.matrix(1, d);
-    seq.mean_rows_block_into(0, n, pooled.row_mut(0));
-    for m in [x, ln, q, k, v, scores, vh, head_out, cat, proj, hidden, ffn] {
-        scratch.recycle(m);
-    }
-    (seq, pooled)
+    forward_group(t, store, &[tokens], mask, scratch)
 }
 
 /// Fused batch forward pass over a group of sequences sharing one effective
@@ -390,11 +251,29 @@ pub fn forward_packed(
     seqs: &[&[u32]],
     scratch: &mut Scratch,
 ) -> (Matrix, Matrix) {
+    forward_group(t, store, seqs, None, scratch)
+}
+
+/// The encoder layer loop behind [`forward`] and [`forward_packed`]: packs
+/// the group row-wise (sample `s` owns rows `s·n .. (s+1)·n`) and runs each
+/// per-layer projection as one GEMM over the whole group. A `mask` applies
+/// to a single sequence only and must be `n × n`.
+fn forward_group(
+    t: &Transformer,
+    store: &ParamStore,
+    seqs: &[&[u32]],
+    mask: Option<&Matrix>,
+    scratch: &mut Scratch,
+) -> (Matrix, Matrix) {
     let raw = t.raw();
     let cfg = raw.config;
     let b = seqs.len();
     assert!(b > 0, "forward_packed needs at least one sequence");
     let n = cfg.effective_len(seqs[0].len());
+    if let Some(m) = mask {
+        assert_eq!(b, 1, "a mask applies to exactly one sequence");
+        assert_eq!(m.shape(), (n, n), "mask shape");
+    }
     let mut ids = Vec::with_capacity(b * n);
     for s in seqs {
         assert_eq!(
@@ -413,7 +292,7 @@ pub fn forward_packed(
     let heads = cfg.n_heads;
     let hd = d / heads;
 
-    // ---- embeddings (sample s owns rows s·n .. (s+1)·n) ----
+    // ---- embeddings ----
     let tok_table = store.get(raw.tok_embed);
     let pos_table = store.get(raw.pos_embed);
     let mut x = scratch.matrix(rows, d);
@@ -455,12 +334,12 @@ pub fn forward_packed(
         ln.matmul_into(store.get(idsl.wv), &mut v);
         for s in 0..b {
             for h in 0..heads {
-                attention_head_packed(
+                attention_head(
                     &q,
                     &k,
                     &v,
+                    mask,
                     s * n,
-                    n,
                     h * hd,
                     hd,
                     scale,

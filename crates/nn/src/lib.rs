@@ -13,11 +13,12 @@
 //!   against finite differences in the test suite),
 //! * [`Transformer`] — a pre-norm encoder with *pluggable additive attention
 //!   masks* (the hook for LLMulator's dynamic control-flow separation),
-//! * [`infer::forward`] / [`infer::encode_batch`] — the production forward
-//!   pass (tape-free, scratch-backed) and its scoped-thread batch fan-out,
-//! * [`infer::forward_packed`] — batch-level kernel fusion: same-length
-//!   sequences packed into one blocked GEMM per layer per group,
-//!   bit-identical per sample to [`infer::forward`],
+//! * [`infer::forward_packed`] / [`infer::forward`] — the production
+//!   encoder: one tape-free, scratch-backed layer loop with two entry
+//!   points. `forward_packed` packs same-length sequences into one blocked
+//!   GEMM per layer per group; `forward` is its single-sample case with an
+//!   optional attention mask. Both are bit-identical per sample,
+//! * [`infer::encode_batch`] — scoped-thread fan-out of [`infer::forward`],
 //! * [`infer::encode_cached`] — forward-only inference with block-structured
 //!   attention caching (LLMulator's dynamic prediction acceleration),
 //! * [`AdamW`] — decoupled-weight-decay optimizer,
