@@ -11,8 +11,7 @@
 //!   ([`EngineConfig`], builder-style);
 //! * a [`Session`] holds the per-client mutable state — a
 //!   [`Scratch`] arena and [`BeamScratch`] reused across requests so
-//!   steady-state serving allocates nothing per call, and a
-//!   [`ReplayBuffer`] that accumulates calibration feedback triples;
+//!   steady-state serving allocates nothing per call;
 //! * typed [`PredictRequest`] / [`PredictResponse`] messages carry program
 //!   source or pre-tokenized input, a metric subset, beam-width and
 //!   thread-count overrides, and optional profiler feedback.
@@ -25,7 +24,7 @@
 //! queued requests into one fused batch — the `llmulator serve` daemon's
 //! hot path.
 
-use crate::calibrate::{PreferenceTriple, ReplayBuffer};
+use crate::calibrate::PreferenceTriple;
 use crate::dataset::{CostModel, Sample};
 use crate::encode::SegmentedText;
 use crate::error::Error;
@@ -103,7 +102,7 @@ impl<M: CostModel + Send + Sync> ServableModel for BaselineModel<M> {}
 /// let engine: Engine = EngineConfig::new()
 ///     .default_model("prod")
 ///     .threads(2)
-///     .replay_capacity(32)
+///     .feedback_capacity(32)
 ///     .build();
 /// assert!(engine.model_names().is_empty());
 /// ```
@@ -111,20 +110,18 @@ impl<M: CostModel + Send + Sync> ServableModel for BaselineModel<M> {}
 pub struct EngineConfig {
     default_model: String,
     threads: usize,
-    replay_capacity: usize,
     feedback_capacity: usize,
     score_window: usize,
 }
 
 impl EngineConfig {
     /// Defaults: model name `"default"`, one prediction worker per
-    /// available core, replay window of 16 feedback triples, shared
-    /// feedback queue disabled, rolling-accuracy window of 64.
+    /// available core, shared feedback queue disabled, rolling-accuracy
+    /// window of 64.
     pub fn new() -> EngineConfig {
         EngineConfig {
             default_model: "default".to_string(),
             threads: llmulator_nn::available_threads(),
-            replay_capacity: 16,
             feedback_capacity: 0,
             score_window: 64,
         }
@@ -141,13 +138,6 @@ impl EngineConfig {
     #[must_use]
     pub fn threads(mut self, threads: usize) -> EngineConfig {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Capacity of each session's calibration [`ReplayBuffer`].
-    #[must_use]
-    pub fn replay_capacity(mut self, capacity: usize) -> EngineConfig {
-        self.replay_capacity = capacity;
         self
     }
 
@@ -445,7 +435,6 @@ impl Engine {
             engine: self,
             scratch: Scratch::new(),
             beam: BeamScratch::new(),
-            replay: ReplayBuffer::new(self.config.replay_capacity),
             served: 0,
         }
     }
@@ -497,8 +486,8 @@ pub struct PredictRequest {
     pub beam_width: Option<usize>,
     /// Worker-thread override for this request.
     pub threads: Option<usize>,
-    /// Optional profiler feedback routed into the session's replay buffer
-    /// and the engine's shared feedback queue.
+    /// Optional profiler feedback routed into the engine's shared feedback
+    /// queue and accuracy scoreboard.
     pub feedback: Option<Feedback>,
     /// A/B routing key (e.g. a hash of the wire request id). Only consulted
     /// when `model` is `None` and the engine has a router; absent keys
@@ -639,14 +628,13 @@ pub struct PredictResponse {
     pub items: Vec<ItemPrediction>,
 }
 
-/// Per-client serving state: reusable scratch arenas and the calibration
-/// replay buffer. Sessions are cheap; open one per connection/worker.
+/// Per-client serving state: reusable scratch arenas. Sessions are cheap;
+/// open one per connection/worker.
 #[derive(Debug)]
 pub struct Session<'e> {
     engine: &'e Engine,
     scratch: Scratch,
     beam: BeamScratch,
-    replay: ReplayBuffer,
     served: usize,
 }
 
@@ -659,12 +647,6 @@ impl<'e> Session<'e> {
     /// Requests served so far (successful predictions only).
     pub fn served(&self) -> usize {
         self.served
-    }
-
-    /// The calibration feedback accumulated by this session, ready for a
-    /// [`crate::calibrate::DpoCalibrator`] minibatch.
-    pub fn replay_buffer(&self) -> &ReplayBuffer {
-        &self.replay
     }
 
     /// Answers one request.
@@ -768,9 +750,9 @@ impl<'e> Session<'e> {
                     .as_predictor()
                     .expect("checked to be a predictor above");
                 let seqs = tokenize_inputs(predictor, &request.inputs)?;
-                // Validate everything before touching session state: a
-                // request `predict` would reject must not leave its
-                // feedback triple in the replay buffer either.
+                // Validate everything before recording feedback: a request
+                // `predict` would reject must not leave its feedback triple
+                // in the shared queue either.
                 let beam = resolve_beam_width(predictor, request.beam_width)?;
                 if let Some(fb) = request.feedback {
                     self.record_feedback(&resolved.name, &seqs, fb)?;
@@ -870,18 +852,12 @@ impl<'e> Session<'e> {
         }
     }
 
-    /// Routes a feedback triple into the session replay buffer, the
-    /// engine's shared feedback queue (when enabled) and the per-model
-    /// scoreboard. Exact predictions carry no preference signal and are
+    /// Routes a feedback triple into the engine's shared feedback queue
+    /// (when enabled) and the per-model scoreboard. Exact predictions carry no preference signal and are
     /// skipped as training data (mirroring
     /// [`crate::calibrate::DpoCalibrator::observe`]) but still count as
     /// accuracy signal on the scoreboard.
-    fn record_feedback(
-        &mut self,
-        model: &str,
-        seqs: &[Vec<u32>],
-        fb: Feedback,
-    ) -> Result<(), Error> {
+    fn record_feedback(&self, model: &str, seqs: &[Vec<u32>], fb: Feedback) -> Result<(), Error> {
         let tokens = seqs.get(fb.item).ok_or_else(|| {
             Error::InvalidRequest(format!(
                 "feedback.item {} out of range ({} inputs)",
@@ -894,17 +870,13 @@ impl<'e> Session<'e> {
             .record_feedback_error(model, abs_rel_error(fb.actual, fb.predicted));
         let y_w = metric_to_int(fb.metric, fb.actual);
         let y_l = metric_to_int(fb.metric, fb.predicted);
-        if y_w != y_l {
-            let triple = PreferenceTriple {
+        if y_w != y_l && self.engine.feedback().is_enabled() {
+            self.engine.feedback().push(PreferenceTriple {
                 tokens: tokens.clone(),
                 metric: fb.metric,
                 y_w,
                 y_l,
-            };
-            if self.engine.feedback().is_enabled() {
-                self.engine.feedback().push(triple.clone());
-            }
-            self.replay.push(triple);
+            });
         }
         Ok(())
     }
@@ -1237,8 +1209,9 @@ mod tests {
     }
 
     #[test]
-    fn feedback_lands_in_the_replay_buffer() {
-        let engine = engine_with_default();
+    fn feedback_lands_in_the_shared_queue() {
+        let engine = EngineConfig::new().threads(2).feedback_capacity(4).build();
+        engine.register_predictor("default", tiny_predictor(3));
         let mut session = engine.session();
         let request = PredictRequest::tokens(vec![2, 4, 6]).feedback(Feedback {
             item: 0,
@@ -1247,7 +1220,7 @@ mod tests {
             predicted: 90.0,
         });
         session.predict(&request).expect("serves");
-        assert_eq!(session.replay_buffer().len(), 1);
+        assert_eq!(engine.feedback().accepted(), 1);
         // An exact prediction carries no signal.
         let request = PredictRequest::tokens(vec![2, 4, 6]).feedback(Feedback {
             item: 0,
@@ -1256,7 +1229,7 @@ mod tests {
             predicted: 120.0,
         });
         session.predict(&request).expect("serves");
-        assert_eq!(session.replay_buffer().len(), 1, "exact match skipped");
+        assert_eq!(engine.feedback().accepted(), 1, "exact match skipped");
         // Out-of-range item is a typed error.
         let request = PredictRequest::tokens(vec![2]).feedback(Feedback {
             item: 5,
@@ -1268,6 +1241,11 @@ mod tests {
             session.predict(&request),
             Err(Error::InvalidRequest(_))
         ));
+        assert_eq!(
+            engine.feedback().accepted(),
+            1,
+            "rejected request queues nothing"
+        );
     }
 
     #[test]
@@ -1454,7 +1432,6 @@ mod tests {
             predicted: 90.0,
         });
         session.predict(&request).expect("serves");
-        assert_eq!(session.replay_buffer().len(), 1);
         assert_eq!(engine.feedback().accepted(), 1, "queue got the triple");
         let (err, n) = engine
             .scoreboard()
