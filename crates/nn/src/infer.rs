@@ -137,6 +137,7 @@ fn layer_norm_into(x: &Matrix, gain: &Matrix, bias: &Matrix, out: &mut Matrix) {
 /// Rows only attend within their own block, so a block's output is
 /// bit-identical to running the head on that sample alone.
 #[allow(clippy::too_many_arguments)]
+#[inline(always)] // see `forward_group`
 fn attention_head(
     q: &Matrix,
     k: &Matrix,
@@ -258,6 +259,13 @@ pub fn forward_packed(
 /// the group row-wise (sample `s` owns rows `s·n .. (s+1)·n`) and runs each
 /// per-layer projection as one GEMM over the whole group. A `mask` applies
 /// to a single sequence only and must be `n × n`.
+///
+/// Force-inlined, together with [`attention_head`], so each entry point
+/// compiles its own copy: [`forward_packed`]'s copy has the mask branch
+/// folded out of the attention loops. Sharing one compiled copy measured
+/// ~10% slower per sequence on the packed path (Medium encoder, 209–256
+/// tokens, 2-vCPU x86-64 VM).
+#[inline(always)]
 fn forward_group(
     t: &Transformer,
     store: &ParamStore,
