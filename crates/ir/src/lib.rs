@@ -14,9 +14,10 @@
 //!   input-adaptive control flow.
 //!
 //! The IR renders to C-like text ([`render`]), parses back ([`parse`]), and
-//! supports the static input-dependence analysis ([`analysis`]) that LLMulator
-//! uses to split operators into Class I (input-independent control flow) and
-//! Class II (input-dependent control flow).
+//! supports the static input-dependence analysis ([`taint`]) whose Class I/II
+//! view ([`analysis`]) LLMulator uses to split operators into Class I
+//! (input-independent control flow) and Class II (input-dependent control
+//! flow).
 //!
 //! ```
 //! use llmulator_ir::builder::OperatorBuilder;
